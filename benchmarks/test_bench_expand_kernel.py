@@ -1,15 +1,14 @@
-"""Benchmark: expansion-kernel A/B -- scratch-buffer scalar and sibling batch.
+"""Benchmark: expansion-kernel A/B -- the production kernel vs the reference.
 
 The kernel layer (``repro.core.kernels``) exists for exactly one number:
 CPU-bound search time.  This benchmark runs the same workload over the same
-in-memory suffix tree under all three kernels and records the speedups:
+in-memory suffix tree under both kernels and records the speedup:
 
 * ``reference`` -- the original per-column implementation (per-column
   ``np.empty_like``, double ``.max()`` reduction, unconditional mask
-  writes); the "current" path the ISSUE's >=1.3x target is measured
-  against.
-* ``scalar`` -- the same algorithm over preallocated scratch (the default).
-* ``batched`` -- sibling-batched first columns on top of the scalar loop.
+  writes), the parity oracle the speedup is measured against;
+* ``batched`` -- the production kernel: sibling-batched first columns over
+  preallocated scratch, survivors through an allocation-free column loop.
 
 Parity is asserted *always*, even in smoke mode: byte-identical hits and
 identical ``columns_expanded`` across kernels -- the speedup is only
@@ -22,7 +21,8 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.core.engine import OasisEngine
+from repro.core.kernels import ReferenceKernel
+from repro.core.oasis import OasisSearch
 from repro.experiments.common import build_protein_dataset
 from repro.testing import smoke_mode
 
@@ -30,27 +30,24 @@ from repro.testing import smoke_mode
 QUERY_COUNT = 12
 #: Timed passes per kernel; the reported statistic is their median.
 REPEATS = 5
-#: The ISSUE's acceptance floor for batched vs the pre-kernel path.
+#: Acceptance floor for the production kernel vs the reference.
 BATCHED_SPEEDUP_FLOOR = 1.3
 #: Below this the medians are timer noise, not signal; skip the asserts.
 MIN_COMPARABLE_SECONDS = 0.05
 
-KERNELS = ("reference", "scalar", "batched")
+KERNELS = ("reference", "batched")
 
 
 def _hit_signature(result):
-    return [
-        (hit.sequence_index, hit.sequence_identifier, hit.score, hit.evalue)
-        for hit in result
-    ]
+    return [(hit.sequence_index, hit.sequence_identifier, hit.score) for hit in result]
 
 
-def _time_workload(engine, queries, evalue) -> float:
+def _time_workload(search, workload) -> float:
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        for query in queries:
-            engine.search(query, evalue=evalue)
+        for query, min_score in workload:
+            search.search(query, min_score=min_score)
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
 
@@ -60,50 +57,45 @@ def test_bench_expand_kernel_ab(config, bench_record):
     queries = [query.text for query in dataset.workload][:QUERY_COUNT]
     evalue = config.effective_evalue(dataset.database_symbols)
     base = dataset.engine
+    workload = [
+        (query, base.converter.min_score_for_evalue(evalue, len(query)))
+        for query in queries
+    ]
 
-    # Three engines over ONE shared tree: the A/B isolates the kernel, not
+    # Two searches over ONE shared tree: the A/B isolates the kernel, not
     # index construction or cache state.
-    engines = {
-        name: OasisEngine(
-            base.cursor,
-            base.matrix,
-            base.gap_model,
-            converter=base.converter,
-            kernel=name,
-        )
-        for name in KERNELS
+    searches = {
+        "reference": OasisSearch(
+            base.cursor, base.matrix, base.gap_model, kernel=ReferenceKernel()
+        ),
+        "batched": OasisSearch(base.cursor, base.matrix, base.gap_model),
     }
 
     # Parity first (always, smoke included): byte-identical hits and
-    # identical DP work under every kernel.
+    # identical DP work under both kernels.
     signatures = {}
     columns = {}
-    for name, engine in engines.items():
+    for name, search in searches.items():
         signatures[name] = []
         columns[name] = 0
-        for query in queries:
-            result = engine.search(query, evalue=evalue)
+        for query, min_score in workload:
+            result = search.search(query, min_score=min_score)
             signatures[name].append(_hit_signature(result))
             columns[name] += result.statistics.columns_expanded
             assert result.statistics.kernel == name
-    for name in ("scalar", "batched"):
-        assert signatures[name] == signatures["reference"], (
-            f"kernel {name} diverged from the reference hits"
-        )
-        assert columns[name] == columns["reference"], (
-            f"kernel {name} expanded {columns[name]} columns vs the "
-            f"reference's {columns['reference']}"
-        )
+    assert signatures["batched"] == signatures["reference"], (
+        "the production kernel diverged from the reference hits"
+    )
+    assert columns["batched"] == columns["reference"], (
+        f"the production kernel expanded {columns['batched']} columns vs the "
+        f"reference's {columns['reference']}"
+    )
 
     # The parity pass doubles as warm-up; now the timed passes.
     seconds = {
-        name: _time_workload(engine, queries, evalue)
-        for name, engine in engines.items()
+        name: _time_workload(search, workload) for name, search in searches.items()
     }
-    speedups = {
-        name: (seconds["reference"] / seconds[name] if seconds[name] else 1.0)
-        for name in ("scalar", "batched")
-    }
+    speedup = seconds["reference"] / seconds["batched"] if seconds["batched"] else 1.0
 
     print()
     print(f"{'kernel':12s} {'median_s':>10s} {'vs reference':>14s}")
@@ -123,21 +115,15 @@ def test_bench_expand_kernel_ab(config, bench_record):
             "columns_expanded": columns["reference"],
             "hits_identical": True,
             "reference_seconds": seconds["reference"],
-            "scalar_seconds": seconds["scalar"],
             "batched_seconds": seconds["batched"],
             # Tracked by the regression sentry (higher is better).
-            "scalar_speedup": speedups["scalar"],
-            "batched_speedup": speedups["batched"],
+            "batched_speedup": speedup,
         },
     )
 
     if smoke_mode() or seconds["reference"] < MIN_COMPARABLE_SECONDS:
         return
-    assert speedups["batched"] >= BATCHED_SPEEDUP_FLOOR, (
-        f"batched kernel speedup x{speedups['batched']:.2f} is below the "
+    assert speedup >= BATCHED_SPEEDUP_FLOOR, (
+        f"batched kernel speedup x{speedup:.2f} is below the "
         f"x{BATCHED_SPEEDUP_FLOOR} floor vs the reference path"
-    )
-    assert speedups["scalar"] > 1.0, (
-        f"scratch-buffer scalar kernel (x{speedups['scalar']:.2f}) should "
-        "never be slower than the allocating reference path"
     )

@@ -122,14 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "need a persistent --index); requires --shards or --index",
     )
     search.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="expansion kernel: scalar (default), batched or reference; "
-        "kernels are parity-gated (identical hits), the choice only trades "
-        "speed (also via OASIS_KERNEL)",
-    )
-    search.add_argument(
         "--trace",
         metavar="FILE",
         help="record a span trace of the run and write it to FILE as "
@@ -314,26 +306,11 @@ def _parse_backend_arg(spec: Optional[str]):
         raise SystemExit(str(error))
 
 
-def _parse_kernel_arg(name: Optional[str]) -> Optional[str]:
-    """Validate a --kernel name early, with an argparse-friendly error."""
-    if name is None:
-        return None
-    from repro.core.kernels import available_kernels
-
-    if name not in available_kernels():
-        raise SystemExit(
-            f"unknown expansion kernel {name!r}; "
-            f"available: {', '.join(available_kernels())}"
-        )
-    return name
-
-
 def _build_search_engine(args: argparse.Namespace):
     """Resolve --index / --shards / --database into a ready-to-search engine."""
     from repro.sharding import CatalogError, ShardedEngine
 
     backend = _parse_backend_arg(args.backend)
-    kernel = _parse_kernel_arg(args.kernel)
     if args.index is not None:
         # A persistent catalog is authoritative for its own configuration:
         # only an *explicit* --matrix/--gap is checked against it, and the
@@ -348,7 +325,6 @@ def _build_search_engine(args: argparse.Namespace):
                 matrix=matrix,
                 gap_model=gap_model,
                 backend=backend,
-                kernel=kernel,
             )
         except CatalogError as error:
             raise SystemExit(str(error))
@@ -377,7 +353,6 @@ def _build_search_engine(args: argparse.Namespace):
                 gap_model,
                 shard_count=args.shards,
                 backend=backend,
-                kernel=kernel,
             )
         except ValueError as error:
             raise SystemExit(str(error))
@@ -386,7 +361,7 @@ def _build_search_engine(args: argparse.Namespace):
             "--backend selects the scatter strategy of a sharded engine; "
             "combine it with --shards N or --index DIR"
         )
-    return OasisEngine.build(database, matrix=matrix, gap_model=gap_model, kernel=kernel)
+    return OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
 
 
 def _command_search(args: argparse.Namespace) -> int:

@@ -55,13 +55,12 @@ class OasisEngine:
         matrix: SubstitutionMatrix,
         gap_model: GapModel = FixedGapModel(-1),
         converter: Optional[SelectivityConverter] = None,
-        kernel=None,
     ):
         self.cursor = cursor
         self.matrix = matrix
         self.gap_model = gap_model
         self.converter = converter or SelectivityConverter(matrix, cursor.database)
-        self._search = OasisSearch(cursor, matrix, gap_model, kernel=kernel)
+        self._search = OasisSearch(cursor, matrix, gap_model)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -74,7 +73,6 @@ class OasisEngine:
         gap_model: GapModel = FixedGapModel(-1),
         partitioned: bool = False,
         max_partition_size: int = 50_000,
-        kernel=None,
     ) -> "OasisEngine":
         """Build an in-memory suffix-tree index and wrap it in an engine.
 
@@ -94,7 +92,7 @@ class OasisEngine:
             ).build(database)
         else:
             tree = GeneralizedSuffixTree.build(database)
-        return cls(tree, matrix, gap_model, kernel=kernel)
+        return cls(tree, matrix, gap_model)
 
     @classmethod
     def build_on_disk(
@@ -106,7 +104,6 @@ class OasisEngine:
         block_size: int = 2048,
         buffer_pool_bytes: int = DEFAULT_BUFFER_POOL_BYTES,
         simulated_miss_latency: float = 0.0,
-        kernel=None,
     ) -> "OasisEngine":
         """Build the index, write the Section-3.4 disk image, search through it.
 
@@ -128,7 +125,7 @@ class OasisEngine:
             buffer_pool_bytes=buffer_pool_bytes,
             simulated_miss_latency=simulated_miss_latency,
         )
-        return cls(disk, matrix, gap_model, kernel=kernel)
+        return cls(disk, matrix, gap_model)
 
     @staticmethod
     def build_sharded(
@@ -176,11 +173,6 @@ class OasisEngine:
     @property
     def database(self) -> SequenceDatabase:
         return self.cursor.database
-
-    @property
-    def kernel(self) -> str:
-        """The expansion kernel name this engine's searches run under."""
-        return self._search.kernel.name
 
     @property
     def statistics(self) -> OasisSearchStatistics:

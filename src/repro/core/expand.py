@@ -28,15 +28,13 @@ straight NumPy expressions and the vertical (insertion) dependency
 running-maximum transform, so the per-cell work stays out of the Python
 interpreter.
 
-Two implementations live side by side:
-
-* :func:`expand_arc_reference` -- the original, allocation-per-column form,
-  kept verbatim as the parity oracle every kernel is gated against;
-* :func:`expand_arc` -- the public entry point, which now runs the
-  scratch-buffer scalar kernel from :mod:`repro.core.kernels`: the same
-  algorithm over preallocated per-query scratch arrays (no per-column
-  allocation, fused prune mask, no reductions or ``PRUNED`` writes whose
-  result is about to be discarded).
+This module holds the reference form, :func:`expand_arc_reference`: the
+original, allocation-per-column implementation, kept verbatim as the parity
+oracle.  It runs every pruning configuration; the production kernel in
+:mod:`repro.core.kernels` runs the same algorithm over preallocated
+per-query scratch (no per-column allocation, fused prune mask, no reductions
+or ``PRUNED`` writes whose result is about to be discarded) for the paper's
+all-rules configuration.
 
 The :class:`ExpansionContext` owns the scratch arrays because it already owns
 everything else that is per-query: kernels themselves are forbidden from
@@ -56,7 +54,7 @@ class ExpansionContext:
     """Query-specific constants shared by every expansion of one search.
 
     Holding them in one object (rather than passing half a dozen arrays
-    through every call) keeps :func:`expand_arc` signatures readable and lets
+    through every call) keeps the expansion signatures readable and lets
     the statistics counters live in one place.
     """
 
@@ -111,22 +109,22 @@ class ExpansionContext:
         # preallocated here, once per query.
         length = self.query_length + 1
         symbol_count = self.profile.shape[0]
-        #: Ping-pong column buffers for the scalar kernel: one is read while
-        #: the other is written, so a parent's column is never mutated.
+        #: Ping-pong column buffers for the per-arc column loop: one is read
+        #: while the other is written, so a parent's column is never mutated.
         self.scratch_col_a = np.empty(length, dtype=np.int64)
         self.scratch_col_b = np.empty(length, dtype=np.int64)
         #: Horizontal (deletion) term of the candidate column.
         self.scratch_row = np.empty(length, dtype=np.int64)
-        #: Optimistic scores (``column + heuristic``).
+        #: Optimistic scores (``column + heuristic``) of a VIABLE result.
         self.scratch_bound = np.empty(length, dtype=np.int64)
-        #: Boolean planes for the pruning-rule masks and their combinations.
-        self.scratch_flags = np.empty((5, length), dtype=bool)
-        #: Fused prune limit for the all-rules fast path:
-        #: ``max(0, cutoff - heuristic)`` elementwise, valid while the cutoff
-        #: (``max(path max_score, min_score - 1)``) equals ``fast_cutoff``.
-        #: One comparison against it is exactly the reference's three-way
-        #: non-positive|dominated|hopeless mask, and the cutoff only changes
-        #: when a path's ``max_score`` rises, so the recompute amortises away.
+        #: The fused prune mask of one column.
+        self.scratch_mask = np.empty(length, dtype=bool)
+        #: Fused prune limit: ``max(0, cutoff - heuristic)`` elementwise,
+        #: valid while the cutoff (``max(path max_score, min_score - 1)``)
+        #: equals ``fast_cutoff``.  One comparison against it is exactly the
+        #: reference's three-way non-positive|dominated|hopeless mask, and the
+        #: cutoff only changes when a path's ``max_score`` rises, so the
+        #: recompute amortises away.
         self.scratch_limit = np.empty(length, dtype=np.int64)
         self.fast_cutoff: Optional[int] = None
         #: Sibling-batch scratch: a node's children all have distinct first
@@ -136,11 +134,11 @@ class ExpansionContext:
         self.batch_symbols = np.empty(symbol_count, dtype=np.intp)
         self.batch_profile = np.empty((symbol_count, self.query_length), dtype=np.int64)
         self.batch_columns = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_bound = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_flags = np.empty((5, symbol_count, length), dtype=bool)
+        self.batch_limit = np.empty((symbol_count, length), dtype=np.int64)
+        self.batch_mask = np.empty((symbol_count, length), dtype=bool)
         self.batch_best = np.empty(symbol_count, dtype=np.int64)
         self.batch_max = np.empty(symbol_count, dtype=np.int64)
-        self.batch_limit = np.empty(symbol_count, dtype=np.int64)
+        self.batch_cutoff = np.empty(symbol_count, dtype=np.int64)
         self.batch_done = np.empty(symbol_count, dtype=bool)
 
     # ------------------------------------------------------------------ #
@@ -162,11 +160,11 @@ def expand_arc_reference(
     """Algorithm 3, reference form: expand one suffix-tree arc below ``parent``.
 
     This is the original per-column implementation, kept verbatim as the
-    parity oracle for the kernels in :mod:`repro.core.kernels` (run it via
-    ``OASIS_KERNEL=reference`` or ``kernel="reference"``).  It allocates one
-    candidate array per column and scans each column twice
-    (``new_column.max()`` then ``optimistic.max()``); the scalar kernel does
-    neither, and is gated byte-identical against this function.
+    parity oracle for :mod:`repro.core.kernels` (``ReferenceKernel``, which
+    every search with a pruning rule off or ``track_pruning`` on runs).  It
+    allocates one candidate array per column and scans each column twice
+    (``new_column.max()`` then ``optimistic.max()``); the production kernel
+    does neither, and is gated byte-identical against this function.
 
     Parameters
     ----------
@@ -305,29 +303,3 @@ def expand_arc_reference(
         depth=depth,
     )
 
-
-_SCALAR_KERNEL = None
-
-
-def expand_arc(
-    parent: SearchNode,
-    tree_node,
-    arc_symbols: np.ndarray,
-    is_leaf: bool,
-    context: ExpansionContext,
-) -> SearchNode:
-    """Algorithm 3: expand one suffix-tree arc below ``parent``.
-
-    The module-level entry point now runs the scratch-buffer scalar kernel
-    (see :mod:`repro.core.kernels`): same results as
-    :func:`expand_arc_reference` -- the kernels are parity-gated against it
-    cell for cell -- with no per-column allocation and no reductions whose
-    result is about to be discarded.  The import is deferred and cached
-    because :mod:`repro.core.kernels` imports this module.
-    """
-    global _SCALAR_KERNEL
-    if _SCALAR_KERNEL is None:
-        from repro.core.kernels import ScalarKernel
-
-        _SCALAR_KERNEL = ScalarKernel()
-    return _SCALAR_KERNEL.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)

@@ -1,50 +1,42 @@
 """Arc-expansion kernels: the DP hot path, batched and allocation-free.
 
 ``core/expand.py``'s per-arc dynamic program is the single hottest loop in
-every search (``BENCH_profile_expand.json`` put it at ~60% of serial
-own-time), and most of that cost is interpreter dispatch around tiny NumPy
+every search, and most of its cost is interpreter dispatch around tiny NumPy
 calls: a fresh candidate array per column, two full reductions over the same
-data, mask writes into arrays that are about to be discarded.  This module
-rebuilds the hot path as pluggable *kernels* that share one contract:
+data, mask writes into arrays that are about to be discarded.  Two kernels
+share one contract here:
 
-:class:`ScalarKernel` (the default)
-    The reference algorithm over preallocated per-query scratch arrays (the
-    :class:`~repro.core.expand.ExpansionContext` owns them): ``out=`` ufunc
-    forms throughout, ping-pong column buffers so a parent's column is never
-    mutated, and -- on the all-rules fast path -- a *fused-limit* prune mask:
-    the three rules ``new <= 0``, ``new + h <= max_score`` and
-    ``new + h < min_score`` are, elementwise, exactly
-    ``new <= max(0, cutoff - h)`` with ``cutoff = max(max_score,
+:class:`BatchedKernel` (the production kernel)
+    Sibling-batched expansion over preallocated per-query scratch (the
+    :class:`~repro.core.expand.ExpansionContext` owns it).  A node's children
+    all start with distinct arc symbols, so when a VIABLE node is expanded
+    the first DP column of *every* child arc is computed as one 2-D
+    vectorised update.  Most arcs die within their first column, so the
+    common case finishes inside the batch; survivors continue through a
+    per-arc column loop with ``out=`` ufunc forms and ping-pong column
+    buffers, so a parent's column is never mutated.  Pruning uses a
+    *fused-limit* mask: the three rules ``new <= 0``,
+    ``new + h <= max_score`` and ``new + h < min_score`` are, elementwise,
+    exactly ``new <= max(0, cutoff - h)`` with ``cutoff = max(max_score,
     min_score - 1)``, so one comparison against a cached limit vector
     (recomputed only when the path's ``max_score`` rises) replaces the
     per-column bound array and both of its comparisons.  The
     early-termination test likewise collapses to "did every cell prune?",
     because any survivor has ``bound > cutoff >= max_score`` and
-    ``bound >= min_score``, so neither termination branch can fire -- the
-    reference path's second full ``optimistic.max()`` reduction disappears.
-
-:class:`BatchedKernel`
-    Sibling-batched expansion: a node's children all start with distinct arc
-    symbols, so when a VIABLE node is expanded the first DP column of *every*
-    child arc is computed as one 2-D vectorised update (one ufunc fan
-    replaces the per-child fan of calls).  Most arcs die within their first
-    column, so the common case finishes inside the batch; survivors fall
-    through to the scalar kernel for the rest of their arc.
+    ``bound >= min_score``, so neither termination branch can fire.  That
+    fusion only holds with all three Section 3.2 rules on and no per-rule
+    tally, so this kernel implements exactly that configuration.
 
 :class:`ReferenceKernel`
     The original implementation, verbatim
-    (:func:`~repro.core.expand.expand_arc_reference`).  Slowest; exists so
-    parity is checkable against unmodified code forever.
+    (:func:`~repro.core.expand.expand_arc_reference`).  Slower; it is the
+    parity oracle, and it runs every other configuration (a rule switched
+    off, or ``track_pruning``) -- the pruning ablation included.
 
-Every kernel is parity-gated: byte-identical hits, node states and
-``columns_expanded``/per-rule pruning counters versus the reference path
-(``tests/test_kernel_parity.py``, plus the engine parity suites under
-``OASIS_KERNEL=batched`` in CI).
-
-Kernel selection goes through :func:`get_kernel`: an explicit ``kernel=``
-argument (``OasisSearch`` / the engines / the CLI all thread one through)
-wins, otherwise the ``OASIS_KERNEL`` environment variable, otherwise
-``scalar``.
+:class:`~repro.core.oasis.OasisSearch` picks between them from its
+configuration.  The production kernel is parity-gated against the
+reference: byte-identical hits, node states and ``columns_expanded``
+(``tests/test_kernel_parity.py``).
 
 Purity contract: kernels never allocate arrays and never touch
 tracer/metrics inside their column loops -- scratch comes from the
@@ -54,8 +46,7 @@ tracer/metrics inside their column loops -- scratch comes from the
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -71,11 +62,6 @@ from repro.core.search_node import (
 #: ``(tree node handle, arc symbol codes, is-leaf flag)``.
 Sibling = Tuple[object, np.ndarray, bool]
 
-#: Environment variable selecting the default kernel (``scalar`` otherwise).
-KERNEL_ENVIRONMENT_VARIABLE = "OASIS_KERNEL"
-
-DEFAULT_KERNEL = "scalar"
-
 
 class ExpansionKernel:
     """One strategy for running Algorithm 3 over a node's children.
@@ -89,6 +75,10 @@ class ExpansionKernel:
     """
 
     name = ""
+    #: Whether the kernel honours every pruning configuration (any rule
+    #: switched off, per-rule tallies).  A kernel that does not implements
+    #: the paper's all-rules, untracked search only.
+    general = False
 
     def expand_arc(
         self,
@@ -115,7 +105,7 @@ class ExpansionKernel:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _scalar_expand(
+def _expand_columns(
     tree_node,
     column: np.ndarray,
     arc_symbols: np.ndarray,
@@ -128,28 +118,20 @@ def _scalar_expand(
 ) -> SearchNode:
     """The scratch-buffer column loop, from ``arc_symbols[start:]``.
 
-    ``column`` seeds the DP and is strictly read-only here: it may be the
-    parent node's column (scalar kernel, ``start=0``) or a row of the batch
-    scratch holding an already-computed-and-masked first column (batched
-    kernel survivors, ``start=1``).  All writes go to the context's
-    ping-pong column scratch, and the surviving column is copied out exactly
-    once, on a VIABLE return.
+    ``column`` seeds the DP and is strictly read-only here: it is either the
+    parent node's column (``start=0``) or a row of the batch scratch holding
+    an already-computed-and-masked first column (batch survivors,
+    ``start=1``).  All writes go to the context's ping-pong column scratch,
+    and the surviving column is copied out exactly once, on a VIABLE return.
     """
     gap = context.gap_penalty
     heuristic = context.heuristic
     min_score = context.min_score
     profile = context.profile
     offsets = context._offsets
-    bound = context.scratch_bound
-    flags = context.scratch_flags
     limit = context.scratch_limit
+    mask = context.scratch_mask
     row = context.scratch_row
-    fast = (
-        context.prune_non_positive
-        and context.prune_dominated
-        and context.prune_threshold
-        and not context.track_pruning
-    )
 
     read = column
     write = context.scratch_col_a
@@ -182,73 +164,24 @@ def _scalar_expand(
             best_ending_here = column_best
 
         # --- Alignment pruning (Section 3.2) --------------------------- #
-        if fast:
-            # Fused mask: non-positive | dominated | hopeless collapses to
-            # one comparison against ``max(0, cutoff - heuristic)`` (exactly
-            # the reference's three rules: new <= 0, new + h <= max_score,
-            # new + h < min_score), a vector that only changes when the
-            # path's max_score rises -- so the per-column bound array and
-            # its two comparisons disappear.  The early-termination test
-            # collapses to "did everything prune?": any survivor has
-            # bound > cutoff >= max_score and bound >= min_score, so neither
-            # termination branch can fire and the bound's numeric value is
-            # never needed; no survivor terminates with f = max_score.  The
-            # second per-column reduction of the reference path, and its
-            # PRUNED writes into a column about to be discarded, disappear
-            # with it.
-            cutoff = max_score if max_score >= min_score - 1 else min_score - 1
-            if cutoff != context.fast_cutoff:
-                np.subtract(cutoff, heuristic, out=limit)
-                np.maximum(limit, 0, out=limit)
-                context.fast_cutoff = cutoff
-            mask = flags[0]
-            np.less_equal(write, limit, out=mask)
-            if np.logical_and.reduce(mask):
-                return make_terminal_node(tree_node, max_score, min_score, depth)
-            write[mask] = PRUNED
-        else:
-            np.add(write, heuristic, out=bound)
-            non_positive = flags[0]
-            dominated = flags[1]
-            hopeless = flags[2]
-            survivors = flags[3]
-            scratch = flags[4]
-            np.less_equal(write, 0, out=non_positive)
-            np.less_equal(bound, max_score, out=dominated)
-            np.less(bound, min_score, out=hopeless)
-            if context.track_pruning:
-                context.pruned_non_positive += int(non_positive.sum())
-                np.logical_not(non_positive, out=survivors)
-                np.logical_and(survivors, dominated, out=scratch)
-                context.pruned_dominated += int(scratch.sum())
-                np.logical_not(dominated, out=scratch)
-                np.logical_and(survivors, scratch, out=survivors)
-                np.logical_and(survivors, hopeless, out=survivors)
-                context.pruned_threshold += int(survivors.sum())
-            mask = None
-            if context.prune_non_positive:
-                mask = non_positive
-            if context.prune_dominated:
-                mask = dominated if mask is None else np.logical_or(mask, dominated, out=mask)
-            if context.prune_threshold:
-                mask = hopeless if mask is None else np.logical_or(mask, hopeless, out=mask)
-            if mask is not None:
-                write[mask] = PRUNED
-                bound[mask] = PRUNED
-            # --- Early termination checks (general form) --------------- #
-            f_bound = int(bound.max())
-            if f_bound <= max_score:
-                return make_terminal_node(tree_node, max_score, min_score, depth)
-            if f_bound < min_score:
-                return SearchNode(
-                    tree_node=tree_node,
-                    column=None,
-                    max_score=max_score,
-                    f=f_bound,
-                    b=best_ending_here,
-                    state=NodeState.UNVIABLE,
-                    depth=depth,
-                )
+        # Fused mask: non-positive | dominated | hopeless collapses to one
+        # comparison against ``max(0, cutoff - heuristic)`` (exactly the
+        # reference's three rules: new <= 0, new + h <= max_score,
+        # new + h < min_score), a vector that only changes when the path's
+        # max_score rises.  The early-termination test collapses to "did
+        # everything prune?": any survivor has bound > cutoff >= max_score
+        # and bound >= min_score, so neither termination branch can fire and
+        # the bound's numeric value is never needed; no survivor terminates
+        # with f = max_score.
+        cutoff = max_score if max_score >= min_score - 1 else min_score - 1
+        if cutoff != context.fast_cutoff:
+            np.subtract(cutoff, heuristic, out=limit)
+            np.maximum(limit, 0, out=limit)
+            context.fast_cutoff = cutoff
+        np.less_equal(write, limit, out=mask)
+        if np.logical_and.reduce(mask):
+            return make_terminal_node(tree_node, max_score, min_score, depth)
+        write[mask] = PRUNED
 
         read = write
         write = other if write is context.scratch_col_a else context.scratch_col_a
@@ -258,6 +191,7 @@ def _scalar_expand(
         # No further expansion is possible below a leaf: the strongest
         # alignment along this path is whatever has been found already.
         return make_terminal_node(tree_node, max_score, min_score, depth)
+    bound = context.scratch_bound
     np.add(read, heuristic, out=bound)
     return SearchNode(
         tree_node=tree_node,
@@ -270,35 +204,6 @@ def _scalar_expand(
     )
 
 
-class ScalarKernel(ExpansionKernel):
-    """The reference algorithm over preallocated scratch (the default)."""
-
-    name = "scalar"
-
-    def expand_arc(
-        self,
-        parent: SearchNode,
-        tree_node,
-        arc_symbols: np.ndarray,
-        is_leaf: bool,
-        context: ExpansionContext,
-    ) -> SearchNode:
-        column = parent.column
-        if column is None:
-            raise ValueError("cannot expand below a node whose column was discarded")
-        return _scalar_expand(
-            tree_node,
-            column,
-            arc_symbols,
-            0,
-            is_leaf,
-            parent.max_score,
-            PRUNED,
-            parent.depth,
-            context,
-        )
-
-
 class BatchedKernel(ExpansionKernel):
     """Sibling-batched expansion: one 2-D update for every child's first column.
 
@@ -308,8 +213,9 @@ class BatchedKernel(ExpansionKernel):
     broadcasted candidate computation, one ``axis=1`` running-maximum, one
     2-D prune mask.  Children whose first column prunes out entirely (the
     common case: most arcs die immediately) are finished without ever
-    leaving the batch; survivors continue through the scalar loop for
-    ``arc_symbols[1:]``.
+    leaving the batch; survivors continue through the column loop for
+    ``arc_symbols[1:]``.  Valid for the all-rules, untracked configuration
+    only (``general`` is False).
     """
 
     name = "batched"
@@ -322,8 +228,21 @@ class BatchedKernel(ExpansionKernel):
         is_leaf: bool,
         context: ExpansionContext,
     ) -> SearchNode:
-        # A single arc has nothing to batch; run the scalar loop directly.
-        return ScalarKernel.expand_arc(self, parent, tree_node, arc_symbols, is_leaf, context)
+        # A single arc has nothing to batch; run the column loop directly.
+        column = parent.column
+        if column is None:
+            raise ValueError("cannot expand below a node whose column was discarded")
+        return _expand_columns(
+            tree_node,
+            column,
+            arc_symbols,
+            0,
+            is_leaf,
+            parent.max_score,
+            PRUNED,
+            parent.depth,
+            context,
+        )
 
     def expand_children(
         self,
@@ -376,128 +295,51 @@ class BatchedKernel(ExpansionKernel):
         peak = context.batch_max[:count]
         np.maximum(best, parent.max_score, out=peak)
 
-        flags = context.batch_flags
-        fast = (
-            context.prune_non_positive
-            and context.prune_dominated
-            and context.prune_threshold
-            and not context.track_pruning
-        )
+        # Per-row fused mask against the per-row cutoff (see the column
+        # loop: the bound's value is only needed for rows that survive, and
+        # those continue below).  When no row beat the parent's running
+        # maximum -- the common case by far -- every row's cutoff *is* the
+        # parent cutoff, so the cached 1-D limit vector broadcasts over the
+        # whole batch and the per-row limit matrix is never materialised.
+        mask = context.batch_mask[:count]
+        if int(np.maximum.reduce(best)) <= parent.max_score:
+            cutoff = (
+                parent.max_score
+                if parent.max_score >= min_score - 1
+                else min_score - 1
+            )
+            limit = context.scratch_limit
+            if cutoff != context.fast_cutoff:
+                np.subtract(cutoff, heuristic, out=limit)
+                np.maximum(limit, 0, out=limit)
+                context.fast_cutoff = cutoff
+            np.less_equal(new, limit, out=mask)
+        else:
+            cutoffs = context.batch_cutoff[:count]
+            np.maximum(peak, min_score - 1, out=cutoffs)
+            limits = context.batch_limit[:count]
+            np.subtract(cutoffs[:, None], heuristic, out=limits)
+            np.maximum(limits, 0, out=limits)
+            np.less_equal(new, limits, out=mask)
+        done = context.batch_done[:count]
+        np.logical_and.reduce(mask, axis=1, out=done)
         nodes: List[SearchNode] = []
-        if fast:
-            # Per-row fused mask against the per-row cutoff (see the scalar
-            # kernel: the bound's value is only needed for rows that
-            # survive, and those continue below).  When no row beat the
-            # parent's running maximum -- the common case by far -- every
-            # row's cutoff *is* the parent cutoff, so the scalar kernel's
-            # cached 1-D limit vector broadcasts over the whole batch and
-            # the per-row threshold matrix is never materialised.
-            mask = flags[0, :count]
-            if int(np.maximum.reduce(best)) <= parent.max_score:
-                cutoff = (
-                    parent.max_score
-                    if parent.max_score >= min_score - 1
-                    else min_score - 1
-                )
-                limit = context.scratch_limit
-                if cutoff != context.fast_cutoff:
-                    np.subtract(cutoff, heuristic, out=limit)
-                    np.maximum(limit, 0, out=limit)
-                    context.fast_cutoff = cutoff
-                np.less_equal(new, limit, out=mask)
-            else:
-                cutoffs = context.batch_limit[:count]
-                np.maximum(peak, min_score - 1, out=cutoffs)
-                thresh = context.batch_bound[:count]
-                np.subtract(cutoffs[:, None], heuristic, out=thresh)
-                np.maximum(thresh, 0, out=thresh)
-                np.less_equal(new, thresh, out=mask)
-            done = context.batch_done[:count]
-            np.logical_and.reduce(mask, axis=1, out=done)
-            for index, (tree_node, arc_symbols, is_leaf) in enumerate(children):
-                if done[index]:
-                    nodes.append(
-                        make_terminal_node(tree_node, int(peak[index]), min_score, depth)
-                    )
-                    continue
-                survivor = new[index]
-                survivor[mask[index]] = PRUNED
-                nodes.append(
-                    _scalar_expand(
-                        tree_node,
-                        survivor,
-                        arc_symbols,
-                        1,
-                        is_leaf,
-                        int(peak[index]),
-                        int(best[index]),
-                        depth,
-                        context,
-                    )
-                )
-            return nodes
-
-        bound = context.batch_bound[:count]
-        np.add(new, heuristic, out=bound)
-        non_positive = flags[0, :count]
-        dominated = flags[1, :count]
-        hopeless = flags[2, :count]
-        survivors = flags[3, :count]
-        scratch = flags[4, :count]
-        np.less_equal(new, 0, out=non_positive)
-        np.less_equal(bound, peak[:, None], out=dominated)
-        np.less(bound, min_score, out=hopeless)
-        if context.track_pruning:
-            # Every child's first column is computed unconditionally on the
-            # scalar path too, so summing over all rows at once accumulates
-            # exactly the per-column counts the reference path would.
-            context.pruned_non_positive += int(non_positive.sum())
-            np.logical_not(non_positive, out=survivors)
-            np.logical_and(survivors, dominated, out=scratch)
-            context.pruned_dominated += int(scratch.sum())
-            np.logical_not(dominated, out=scratch)
-            np.logical_and(survivors, scratch, out=survivors)
-            np.logical_and(survivors, hopeless, out=survivors)
-            context.pruned_threshold += int(survivors.sum())
-        mask = None
-        if context.prune_non_positive:
-            mask = non_positive
-        if context.prune_dominated:
-            mask = dominated if mask is None else np.logical_or(mask, dominated, out=mask)
-        if context.prune_threshold:
-            mask = hopeless if mask is None else np.logical_or(mask, hopeless, out=mask)
-        if mask is not None:
-            new[mask] = PRUNED
-            bound[mask] = PRUNED
-        limit = context.batch_limit[:count]
-        np.maximum.reduce(bound, axis=1, out=limit)
         for index, (tree_node, arc_symbols, is_leaf) in enumerate(children):
-            f_bound = int(limit[index])
-            path_best = int(peak[index])
-            if f_bound <= path_best:
-                nodes.append(make_terminal_node(tree_node, path_best, min_score, depth))
-                continue
-            if f_bound < min_score:
+            if done[index]:
                 nodes.append(
-                    SearchNode(
-                        tree_node=tree_node,
-                        column=None,
-                        max_score=path_best,
-                        f=f_bound,
-                        b=int(best[index]),
-                        state=NodeState.UNVIABLE,
-                        depth=depth,
-                    )
+                    make_terminal_node(tree_node, int(peak[index]), min_score, depth)
                 )
                 continue
+            survivor = new[index]
+            survivor[mask[index]] = PRUNED
             nodes.append(
-                _scalar_expand(
+                _expand_columns(
                     tree_node,
-                    new[index],
+                    survivor,
                     arc_symbols,
                     1,
                     is_leaf,
-                    path_best,
+                    int(peak[index]),
                     int(best[index]),
                     depth,
                     context,
@@ -510,6 +352,7 @@ class ReferenceKernel(ExpansionKernel):
     """The original per-column implementation, unmodified (the parity oracle)."""
 
     name = "reference"
+    general = True
 
     def expand_arc(
         self,
@@ -522,45 +365,6 @@ class ReferenceKernel(ExpansionKernel):
         return expand_arc_reference(parent, tree_node, arc_symbols, is_leaf, context)
 
 
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-_REGISTRY: Dict[str, Callable[[], ExpansionKernel]] = {}
-
-
-def register_kernel(name: str, factory: Callable[[], ExpansionKernel]) -> None:
-    """Register a kernel factory under a selection name."""
-    _REGISTRY[name] = factory
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """The registered kernel names, sorted (CLI choices, error messages)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_kernel(
-    kernel: Union[str, ExpansionKernel, None] = None,
-) -> ExpansionKernel:
-    """Resolve a kernel selection into a kernel instance.
-
-    Precedence: an explicit instance is used as-is, an explicit name is
-    looked up, ``None`` falls back to the ``OASIS_KERNEL`` environment
-    variable and finally to the ``scalar`` default.
-    """
-    if isinstance(kernel, ExpansionKernel):
-        return kernel
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENVIRONMENT_VARIABLE) or DEFAULT_KERNEL
-    try:
-        factory = _REGISTRY[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown expansion kernel {kernel!r}; "
-            f"available: {', '.join(available_kernels())}"
-        ) from None
-    return factory()
-
-
-register_kernel("scalar", ScalarKernel)
-register_kernel("batched", BatchedKernel)
-register_kernel("reference", ReferenceKernel)
+def get_kernel() -> ExpansionKernel:
+    """A new instance of the production kernel."""
+    return BatchedKernel()

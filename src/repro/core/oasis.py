@@ -26,11 +26,11 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.core.expand import ExpansionContext
 from repro.core.heuristic import compute_heuristic_vector
-from repro.core.kernels import ExpansionKernel, get_kernel
+from repro.core.kernels import ExpansionKernel, ReferenceKernel, get_kernel
 from repro.core.results import (
     Alignment,
     OnlineResultLog,
@@ -71,10 +71,10 @@ class OasisSearchStatistics:
     buffer_hits: int = 0
     buffer_misses: int = 0
     buffer_evictions: int = 0
-    #: Which expansion kernel ran the DP (``scalar``/``batched``/``reference``)
-    #: -- every kernel is parity-gated, so this never changes the hits, only
-    #: how the work counters were spent.
-    kernel: str = "scalar"
+    #: Which expansion kernel ran the DP: the production kernel, or
+    #: ``reference`` for a search with a pruning rule off or per-rule
+    #: tallies on.  Both are parity-gated, so this never changes the hits.
+    kernel: str = get_kernel().name
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -397,8 +397,8 @@ class QueryExecution:
                     continue
 
                 # VIABLE node: hand the whole sibling set to the expansion
-                # kernel at once (a batching kernel vectorises across it; the
-                # scalar kernels consume the generator child by child, which
+                # kernel at once (the production kernel vectorises across it;
+                # the reference consumes the generator child by child, which
                 # preserves the interleaved cursor access pattern).  Kernels
                 # return one child node per sibling, in child order -- the
                 # enqueue counter, and with it the heap tie-break, depends
@@ -559,11 +559,13 @@ class OasisSearch:
     gap_model:
         Gap model; the search implements the paper's fixed (linear) gap model.
     kernel:
-        Expansion-kernel selection: a registered name (``scalar`` /
-        ``batched`` / ``reference``), an :class:`ExpansionKernel` instance,
-        or ``None`` to fall back to the ``OASIS_KERNEL`` environment
-        variable and then the default.  Kernels are parity-gated -- the
-        choice changes speed, never results.
+        An :class:`ExpansionKernel` instance, or ``None`` (every caller in
+        the package) to pick from the configuration: the production kernel
+        when all three pruning rules are on and ``track_pruning`` is off,
+        the reference kernel otherwise.  Passing a kernel that does not
+        support the configuration (the production kernel with a rule off
+        or tallies on) raises :class:`ValueError`.  Kernels are
+        parity-gated -- the choice changes speed, never results.
     """
 
     def __init__(
@@ -575,7 +577,7 @@ class OasisSearch:
         prune_dominated: bool = True,
         prune_threshold: bool = True,
         track_pruning: bool = False,
-        kernel: Union[str, ExpansionKernel, None] = None,
+        kernel: Optional[ExpansionKernel] = None,
     ):
         gap_model.validate()
         if gap_model.is_affine:
@@ -592,11 +594,24 @@ class OasisSearch:
         self.prune_dominated = prune_dominated
         self.prune_threshold = prune_threshold
         self.track_pruning = track_pruning
-        self.kernel: ExpansionKernel = get_kernel(kernel)
+        general = track_pruning or not (
+            prune_non_positive and prune_dominated and prune_threshold
+        )
+        if kernel is None:
+            kernel = ReferenceKernel() if general else get_kernel()
+        elif not isinstance(kernel, ExpansionKernel):
+            raise TypeError(f"kernel must be an ExpansionKernel instance, not {kernel!r}")
+        elif general and not kernel.general:
+            raise ValueError(
+                f"the {kernel.name!r} kernel runs the all-rules search only; "
+                "a search with a pruning rule off or track_pruning on needs "
+                "a general kernel such as ReferenceKernel()"
+            )
+        self.kernel: ExpansionKernel = kernel
         #: Statistics of the most recently *created* execution.  Kept for
         #: backward compatibility with serial callers; concurrent callers
         #: should read ``execution.statistics`` / ``result.statistics``.
-        self.statistics = OasisSearchStatistics()
+        self.statistics = OasisSearchStatistics(kernel=kernel.name)
 
     # ------------------------------------------------------------------ #
     # Execution factory

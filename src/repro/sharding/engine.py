@@ -499,7 +499,6 @@ class ShardedEngine:
         by: str = "residues",
         workers: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-        kernel=None,
     ) -> "ShardedEngine":
         """Split the database and build one in-memory index per shard.
 
@@ -526,7 +525,6 @@ class ShardedEngine:
                 matrix,
                 gap_model,
                 converter=converter,
-                kernel=kernel,
             )
             for sub_database in plan.sub_databases(database)
         ]
@@ -589,7 +587,6 @@ class ShardedEngine:
         sleep_on_miss: bool = False,
         workers: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
-        kernel=None,
     ) -> "ShardedEngine":
         """Open a persistent sharded index from its catalog.
 
@@ -672,11 +669,7 @@ class ShardedEngine:
                     simulated_miss_latency=simulated_miss_latency,
                     sleep_on_miss=sleep_on_miss,
                 )
-                shards.append(
-                    OasisEngine(
-                        cursor, matrix, gap_model, converter=converter, kernel=kernel
-                    )
-                )
+                shards.append(OasisEngine(cursor, matrix, gap_model, converter=converter))
             engine = cls(
                 shards,
                 database,
@@ -959,7 +952,6 @@ class ShardedEngine:
                     self.catalog.database_digest if self.catalog is not None else ""
                 ),
                 trace=trace_context,
-                kernel=self.shards[shard_index].kernel,
             )
             for shard_index in range(len(executions))
         ]

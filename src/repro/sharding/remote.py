@@ -71,10 +71,6 @@ class ShardSearchTask:
     #: payload for the parent to adopt/merge -- one coherent span tree per
     #: query regardless of which processes produced its pieces.
     trace: Optional[TraceContext] = None
-    #: Expansion-kernel name the parent engine runs under; the worker's
-    #: cached :class:`OasisSearch` uses the same one (parity-gated, so this
-    #: affects speed and statistics attribution only, never the hits).
-    kernel: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,6 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
         task.buffer_pool_bytes,
         task.simulated_miss_latency,
         task.sleep_on_miss,
-        task.kernel,
     )
     from repro.sharding.catalog import CatalogMismatchError
 
@@ -200,7 +195,7 @@ def _open_shard_search(task: ShardSearchTask) -> "OasisSearch":
     # A bare OasisSearch, no SelectivityConverter: the threshold arrives
     # pre-resolved and E-values are the parent's job (they need the global
     # database size).
-    search = OasisSearch(cursor, matrix, gap_model, kernel=task.kernel)
+    search = OasisSearch(cursor, matrix, gap_model)
     _SHARD_CACHE[key] = search
     return search
 

@@ -1,10 +1,17 @@
-"""Unit tests for the arc expansion (Algorithm 3) and its pruning rules."""
+"""Unit tests for the arc expansion (Algorithm 3) and its pruning rules.
+
+The paper's worked examples run on both kernels: :class:`TestExpandArc` on
+the production kernel, :class:`TestExpandArcReference` on the reference.
+The per-rule counters and rule-off cases run on the reference, the only
+kernel that implements them.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.expand import ExpansionContext, expand_arc
+from repro.core.expand import ExpansionContext, expand_arc_reference
 from repro.core.heuristic import compute_heuristic_vector
+from repro.core.kernels import ReferenceKernel, get_kernel
 from repro.core.search_node import NodeState, PRUNED, SearchNode
 from repro.scoring.data import unit_matrix
 from repro.sequences.alphabet import DNA_ALPHABET
@@ -59,11 +66,18 @@ class TestExpansionContext:
 class TestExpandArc:
     """Columns are checked against the worked example of Section 3.3."""
 
+    kernel = get_kernel()
+
+    def expand_arc(self, parent, tree_node, arc_symbols, is_leaf, context):
+        return self.kernel.expand_arc(parent, tree_node, arc_symbols, is_leaf, context)
+
     def test_expanding_node_1n(self):
         # Node 1N: arc "A" from the root, query TACG, minScore 1.
         context = make_context("TACG", min_score=1)
         root = make_root(context)
-        node = expand_arc(root, "1N", DNA_ALPHABET.encode("A"), is_leaf=False, context=context)
+        node = self.expand_arc(
+            root, "1N", DNA_ALPHABET.encode("A"), is_leaf=False, context=context
+        )
         assert node.state is NodeState.VIABLE
         # Column from the paper: [-1 pruned, -1 pruned, 1, 0 pruned, -1 pruned]
         assert node.column[2] == 1
@@ -78,7 +92,9 @@ class TestExpandArc:
         # Node 4N: arc "TA", paper reports f = 4, best alignment so far 2.
         context = make_context("TACG", min_score=1)
         root = make_root(context)
-        node = expand_arc(root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
+        node = self.expand_arc(
+            root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context
+        )
         assert node.state is NodeState.VIABLE
         assert node.f == 4
         assert node.max_score == 2
@@ -87,15 +103,17 @@ class TestExpandArc:
     def test_columns_expanded_counted(self):
         context = make_context("TACG")
         root = make_root(context)
-        expand_arc(root, None, DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
+        self.expand_arc(root, None, DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
         assert context.columns_expanded == 2
 
     def test_leaf_arc_returns_accepted_when_above_threshold(self):
         context = make_context("TACG", min_score=1)
         root = make_root(context)
         # Simulate leaf 2L: the arc continues ACGCCTAG$ after path TA.
-        node_4n = expand_arc(root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context)
-        leaf = expand_arc(
+        node_4n = self.expand_arc(
+            root, "4N", DNA_ALPHABET.encode("TA"), is_leaf=False, context=context
+        )
+        leaf = self.expand_arc(
             node_4n, "2L", DNA_ALPHABET.encode("CGCCTAG$"), is_leaf=True, context=context
         )
         assert leaf.state is NodeState.ACCEPTED
@@ -107,7 +125,9 @@ class TestExpandArc:
         context = make_context("TACG", min_score=4)
         root = make_root(context)
         # A path of mismatching symbols can never reach a score of 4.
-        node = expand_arc(root, None, DNA_ALPHABET.encode("GGGGG"), is_leaf=False, context=context)
+        node = self.expand_arc(
+            root, None, DNA_ALPHABET.encode("GGGGG"), is_leaf=False, context=context
+        )
         assert node.state is NodeState.UNVIABLE
 
     def test_early_termination_stops_column_expansion(self):
@@ -116,30 +136,58 @@ class TestExpandArc:
         # After the query is fully matched, further symbols cannot improve the
         # alignment, so the expansion stops before consuming the whole arc.
         long_arc = DNA_ALPHABET.encode("TACG" + "T" * 50)
-        expand_arc(root, None, long_arc, is_leaf=False, context=context)
+        self.expand_arc(root, None, long_arc, is_leaf=False, context=context)
         assert context.columns_expanded < 20
 
     def test_expanding_accepted_node_column_is_error(self):
         context = make_context("TACG")
         accepted = SearchNode(None, None, 4, 4, 4, NodeState.ACCEPTED, depth=3)
         with pytest.raises(ValueError):
-            expand_arc(accepted, None, DNA_ALPHABET.encode("A"), is_leaf=False, context=context)
+            self.expand_arc(
+                accepted, None, DNA_ALPHABET.encode("A"), is_leaf=False, context=context
+            )
 
     def test_terminal_symbol_kills_alignments(self):
         context = make_context("TACG", min_score=1)
         root = make_root(context)
-        node = expand_arc(
+        node = self.expand_arc(
             root, None, np.array([DNA_ALPHABET.terminal_code]), is_leaf=True, context=context
         )
         # Nothing can align across a terminal; no alignment was found.
         assert node.state is NodeState.UNVIABLE
+
+    def test_sibling_set_matches_single_arcs(self):
+        # Nodes 1N and 4N are siblings below the root: expanding them as one
+        # sibling set (the production kernel batches their first columns)
+        # gives exactly the nodes and column count of one-by-one expansion.
+        arcs = [("1N", DNA_ALPHABET.encode("A")), ("4N", DNA_ALPHABET.encode("TA"))]
+        single = make_context("TACG", min_score=1)
+        expected = [
+            self.expand_arc(make_root(single), name, arc, is_leaf=False, context=single)
+            for name, arc in arcs
+        ]
+        batched = make_context("TACG", min_score=1)
+        actual = self.kernel.expand_children(
+            make_root(batched), [(name, arc, False) for name, arc in arcs], batched
+        )
+        assert [(n.tree_node, n.state, n.f, n.b, n.max_score, n.depth) for n in actual] == [
+            (n.tree_node, n.state, n.f, n.b, n.max_score, n.depth) for n in expected
+        ]
+        assert [n.column.tolist() for n in actual] == [n.column.tolist() for n in expected]
+        assert batched.columns_expanded == single.columns_expanded == 3
+
+
+class TestExpandArcReference(TestExpandArc):
+    """The same worked examples on the reference kernel (the parity oracle)."""
+
+    kernel = ReferenceKernel()
 
 
 class TestPruningRules:
     def test_rule_counters_track_each_rule(self):
         context = make_context("TACG", min_score=2, track_pruning=True)
         root = make_root(context)
-        expand_arc(root, None, DNA_ALPHABET.encode("TAGG"), is_leaf=False, context=context)
+        expand_arc_reference(root, None, DNA_ALPHABET.encode("TAGG"), is_leaf=False, context=context)
         assert context.pruned_non_positive > 0
         # Threshold and dominated counters are non-negative and tracked.
         assert context.pruned_threshold >= 0
@@ -158,14 +206,14 @@ class TestPruningRules:
         ]:
             context = make_context("TACG", min_score=1, **flags)
             root = make_root(context)
-            node = expand_arc(root, None, arc, is_leaf=False, context=context)
+            node = expand_arc_reference(root, None, arc, is_leaf=False, context=context)
             results.append(node.max_score)
         assert len(set(results)) == 1
 
     def test_disabled_pruning_expands_at_least_as_many_columns(self):
         arc = DNA_ALPHABET.encode("TAACGGTTACCAGT")
         full = make_context("TACG", min_score=3)
-        expand_arc(make_root(full), None, arc, is_leaf=False, context=full)
+        expand_arc_reference(make_root(full), None, arc, is_leaf=False, context=full)
         relaxed = make_context("TACG", min_score=3, prune_threshold=False, prune_dominated=False)
-        expand_arc(make_root(relaxed), None, arc, is_leaf=False, context=relaxed)
+        expand_arc_reference(make_root(relaxed), None, arc, is_leaf=False, context=relaxed)
         assert relaxed.columns_expanded >= full.columns_expanded

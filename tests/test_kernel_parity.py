@@ -1,13 +1,14 @@
-"""Kernel parity: every expansion kernel is an exact drop-in for the reference.
+"""Kernel parity: the production kernel is an exact drop-in for the reference.
 
-The kernel layer's whole contract is "speed only": the scratch-buffer
-scalar kernel and the sibling-batched kernel must produce byte-identical
-hits, identical node states, and identical work/pruning counters versus
-the unmodified reference implementation -- across randomized databases and
-workloads (``repro.datagen``), every pruning-rule ablation, and the
-mem/disk/sharded engine configurations.  These are property tests over
-seeds, not worked examples: a kernel that diverges on *any* searched node
-fails here.
+The kernel layer's whole contract is "speed only": the production
+(sibling-batched) kernel must produce byte-identical hits, identical node
+states, and identical work counters versus the unmodified reference
+implementation -- across randomized databases and workloads
+(``repro.datagen``) and the mem/disk/sharded engine configurations.  The
+pruning-rule ablations and per-rule tallies run on the reference, which
+``OasisSearch`` picks for them from its configuration; they must return the
+same hits.  These are property tests over seeds, not worked examples: a
+kernel that diverges on *any* searched node fails here.
 """
 
 from __future__ import annotations
@@ -17,24 +18,36 @@ import pytest
 
 from repro.core.engine import OasisEngine
 from repro.core.expand import ExpansionContext
-from repro.core.kernels import (
-    BatchedKernel,
-    ExpansionKernel,
-    ReferenceKernel,
-    ScalarKernel,
-    available_kernels,
-    get_kernel,
-)
-from repro.core.oasis import OasisSearch
+from repro.core.kernels import BatchedKernel, ReferenceKernel, get_kernel
+from repro.core.oasis import OasisSearch, OasisSearchStatistics
 from repro.core.search_node import NodeState, SearchNode
 from repro.datagen import MotifWorkloadGenerator, SwissProtLikeGenerator
 from repro.scoring.data import pam30
 from repro.scoring.gaps import FixedGapModel
-from repro.sharding import ShardedEngine
+from repro.sharding import ShardedEngine, ShardedIndexBuilder
+from repro.sharding.engine import ShardedQueryExecution
 from repro.suffixtree.generalized import GeneralizedSuffixTree
 
-KERNELS = ["scalar", "batched"]
+#: The kernels held to the reference, named in the test ids by kernel name.
+KERNELS = [get_kernel()]
 SEEDS = [3, 11, 29]
+#: Every configuration the production kernel does not run: a rule off, or
+#: per-rule tallies on.
+GENERAL_SWITCHES = [
+    {"prune_non_positive": False},
+    {"prune_dominated": False},
+    {"prune_threshold": False},
+    {"prune_dominated": False, "prune_threshold": False},
+    {
+        "prune_non_positive": False,
+        "prune_dominated": False,
+        "prune_threshold": False,
+    },
+]
+
+
+def kernel_id(kernel):
+    return kernel.name
 
 
 def small_dataset(seed):
@@ -54,14 +67,15 @@ def small_dataset(seed):
     return database, [query.text for query in workload]
 
 
-def run_searches(database, queries, kernel, min_score=35, **switches):
-    """All hits + merged statistics for one kernel over a shared tree."""
+def run_searches(database, queries, kernel=None, min_score=35, **switches):
+    """Hits, work counters and kernel names of one search configuration."""
     tree = GeneralizedSuffixTree.build(database)
     search = OasisSearch(
         tree, pam30(), FixedGapModel(-8), kernel=kernel, **switches
     )
     signatures = []
     counters = []
+    kernels = set()
     for query in queries:
         result = search.search(query, min_score=min_score)
         signatures.append(
@@ -81,38 +95,49 @@ def run_searches(database, queries, kernel, min_score=35, **switches):
                 "pruned_threshold": statistics.pruned_threshold,
             }
         )
-    return signatures, counters
+        kernels.add(statistics.kernel)
+    return signatures, counters, kernels
 
 
 class TestFuzzedSearchParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_hits_and_tracked_counters_match_reference(self, seed, kernel):
+    @pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
+    def test_hits_and_counters_match_reference(self, seed, kernel):
         database, queries = small_dataset(seed)
-        expected = run_searches(database, queries, "reference", track_pruning=True)
-        actual = run_searches(database, queries, kernel, track_pruning=True)
+        expected, expected_counters, _ = run_searches(
+            database, queries, ReferenceKernel()
+        )
+        actual, actual_counters, kernels = run_searches(database, queries, kernel)
         assert actual == expected
+        assert actual_counters == expected_counters
+        assert kernels == {kernel.name}
 
-    @pytest.mark.parametrize(
-        "switches",
-        [
-            {"prune_non_positive": False},
-            {"prune_dominated": False},
-            {"prune_threshold": False},
-            {"prune_dominated": False, "prune_threshold": False},
-            {
-                "prune_non_positive": False,
-                "prune_dominated": False,
-                "prune_threshold": False,
-            },
-        ],
-    )
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("switches", GENERAL_SWITCHES)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
     def test_rule_ablations_match_reference(self, kernel, switches):
+        # Each ablation runs on the kernel the configuration selects (the
+        # reference) and must return exactly the hits of the all-rules run.
         database, queries = small_dataset(7)
-        expected = run_searches(database, queries, "reference", **switches)
-        actual = run_searches(database, queries, kernel, **switches)
+        expected, _, _ = run_searches(database, queries, kernel)
+        actual, _, kernels = run_searches(database, queries, **switches)
         assert actual == expected
+        assert kernels == {"reference"}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tracked_pruning_matches_untracked_hits(self, seed):
+        database, queries = small_dataset(seed)
+        expected, expected_counters, _ = run_searches(database, queries)
+        actual, actual_counters, kernels = run_searches(
+            database, queries, track_pruning=True
+        )
+        assert actual == expected
+        assert kernels == {"reference"}
+        tallies = ("pruned_non_positive", "pruned_dominated", "pruned_threshold")
+        for untracked, tracked in zip(expected_counters, actual_counters):
+            assert {k: v for k, v in tracked.items() if k not in tallies} == {
+                k: v for k, v in untracked.items() if k not in tallies
+            }
+        assert sum(counters["pruned_non_positive"] for counters in actual_counters) > 0
 
 
 def node_signature(node: SearchNode):
@@ -133,10 +158,12 @@ class TestNodeLevelParity:
     frontier reaches, while this walks the expansion of every VIABLE node
     encountered breadth-first, so a divergence in any field of any child --
     including UNVIABLE ones the driver would immediately drop -- fails.
+    ``track`` switches the reference's per-rule tally on, which must not
+    change a single node.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
     @pytest.mark.parametrize("track", [False, True])
     def test_expand_children_matches_reference(self, seed, kernel, track):
         database, queries = small_dataset(seed)
@@ -145,15 +172,11 @@ class TestNodeLevelParity:
         gap_model = FixedGapModel(-8)
         query = queries[0]
         reference_search = OasisSearch(
-            cursor, matrix, gap_model, kernel="reference", track_pruning=track
+            cursor, matrix, gap_model, kernel=ReferenceKernel(), track_pruning=track
         )
-        subject_search = OasisSearch(
-            cursor, matrix, gap_model, kernel=kernel, track_pruning=track
-        )
+        subject_search = OasisSearch(cursor, matrix, gap_model, kernel=kernel)
         reference_exec = reference_search.execute(query, min_score=30)
         subject_exec = subject_search.execute(query, min_score=30)
-        reference_kernel = reference_search.kernel
-        subject_kernel = subject_search.kernel
 
         root = SearchNode(
             tree_node=cursor.root,
@@ -172,97 +195,149 @@ class TestNodeLevelParity:
                 (child, cursor.arc_symbols(child), cursor.is_leaf(child))
                 for child in cursor.children(node.tree_node)
             ]
-            expected = reference_kernel.expand_children(
+            expected = reference_search.kernel.expand_children(
                 node, iter(siblings), reference_exec.context
             )
-            actual = subject_kernel.expand_children(
-                node, iter(siblings), subject_exec.context
-            )
+            actual = kernel.expand_children(node, iter(siblings), subject_exec.context)
             assert [node_signature(child) for child in actual] == [
                 node_signature(child) for child in expected
             ]
             expanded += 1
             frontier.extend(child for child in expected if child.is_viable)
         assert expanded > 1  # the walk actually exercised expansions
-        # The per-column work and tracked pruning tallies agree exactly.
+        # The per-column work agrees exactly.
         assert (
             subject_exec.context.columns_expanded
             == reference_exec.context.columns_expanded
         )
-        for field in ("pruned_non_positive", "pruned_dominated", "pruned_threshold"):
-            assert getattr(subject_exec.context, field) == getattr(
-                reference_exec.context, field
-            )
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
     def test_disk_and_sharded_engines_match_memory(self, tmp_path, kernel):
         database, queries = small_dataset(17)
         matrix = pam30()
         gap_model = FixedGapModel(-8)
-        memory = OasisEngine.build(
-            database, matrix=matrix, gap_model=gap_model, kernel="reference"
+        memory = OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
+        reference = OasisSearch(
+            memory.cursor, matrix, gap_model, kernel=ReferenceKernel()
         )
         disk = OasisEngine.build_on_disk(
             database,
             matrix,
             tmp_path / "image.oasis",
             gap_model=gap_model,
-            kernel=kernel,
         )
-        sharded = ShardedEngine.build(
-            database, matrix, gap_model, shard_count=3, kernel=kernel
-        )
+        sharded = ShardedEngine.build(database, matrix, gap_model, shard_count=3)
         try:
             for query in queries[:3]:
+                min_score = memory.converter.min_score_for_evalue(1_000.0, len(query))
                 expected = [
-                    (hit.sequence_index, hit.score, hit.evalue)
-                    for hit in memory.search(query, evalue=1_000.0)
+                    (hit.sequence_index, hit.score)
+                    for hit in reference.search(query, min_score=min_score)
                 ]
-                for engine in (disk, sharded):
+                evalues = [hit.evalue for hit in memory.search(query, evalue=1_000.0)]
+                for engine in (memory, disk, sharded):
                     result = engine.search(query, evalue=1_000.0)
-                    actual = [
-                        (hit.sequence_index, hit.score, hit.evalue) for hit in result
-                    ]
-                    assert actual == expected
-                    assert result.statistics.kernel == kernel
+                    assert [(hit.sequence_index, hit.score) for hit in result] == expected
+                    assert [hit.evalue for hit in result] == evalues
+                    assert result.statistics.kernel == kernel.name
         finally:
             disk.cursor.close()
             sharded.close()
 
 
 class TestKernelSelection:
-    def test_available_kernels(self):
-        assert set(available_kernels()) >= {"scalar", "batched", "reference"}
+    """The kernel is derived from the search configuration, never selected by name."""
 
-    def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("OASIS_KERNEL", raising=False)
-        assert isinstance(get_kernel(), ScalarKernel)
-
-    def test_environment_selects_the_kernel(self, monkeypatch):
-        monkeypatch.setenv("OASIS_KERNEL", "batched")
+    def test_default_is_the_production_kernel(self):
+        database, _ = small_dataset(5)
+        search = OasisSearch(GeneralizedSuffixTree.build(database), pam30())
         assert isinstance(get_kernel(), BatchedKernel)
+        assert type(search.kernel) is type(get_kernel())
 
-    def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("OASIS_KERNEL", "batched")
-        assert isinstance(get_kernel("reference"), ReferenceKernel)
+    @pytest.mark.parametrize(
+        "switches", GENERAL_SWITCHES + [{"track_pruning": True}]
+    )
+    def test_general_configuration_selects_the_reference(self, switches):
+        database, _ = small_dataset(5)
+        search = OasisSearch(GeneralizedSuffixTree.build(database), pam30(), **switches)
+        assert isinstance(search.kernel, ReferenceKernel)
+
+    @pytest.mark.parametrize(
+        "switches", GENERAL_SWITCHES + [{"track_pruning": True}]
+    )
+    def test_production_kernel_rejects_a_general_configuration(self, switches):
+        database, _ = small_dataset(5)
+        with pytest.raises(ValueError, match="all-rules"):
+            OasisSearch(
+                GeneralizedSuffixTree.build(database),
+                pam30(),
+                kernel=get_kernel(),
+                **switches,
+            )
 
     def test_instance_passes_through(self):
-        kernel = BatchedKernel()
-        assert get_kernel(kernel) is kernel
+        database, _ = small_dataset(5)
+        tree = GeneralizedSuffixTree.build(database)
+        for kernel in (get_kernel(), ReferenceKernel()):
+            assert OasisSearch(tree, pam30(), kernel=kernel).kernel is kernel
+        reference = ReferenceKernel()
+        search = OasisSearch(tree, pam30(), kernel=reference, prune_dominated=False)
+        assert search.kernel is reference
 
     def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown expansion kernel"):
-            get_kernel("simd")
+        # Kernels are instances, not names: no string selects one.
+        database, _ = small_dataset(5)
+        with pytest.raises(TypeError, match="ExpansionKernel"):
+            OasisSearch(GeneralizedSuffixTree.build(database), pam30(), kernel="batched")
 
     def test_statistics_record_the_kernel(self):
         database, queries = small_dataset(5)
-        engine = OasisEngine.build(database, matrix=pam30(), kernel="batched")
+        engine = OasisEngine.build(database, matrix=pam30())
         result = engine.search(queries[0], evalue=1_000.0)
-        assert engine.kernel == "batched"
         assert result.statistics.kernel == "batched"
         assert result.statistics.as_dict()["kernel"] == "batched"
+        ablated = OasisSearch(engine.cursor, pam30(), prune_threshold=False)
+        result = ablated.search(queries[0], min_score=35)
+        assert result.statistics.kernel == "reference"
+
+    def test_statistics_default_names_the_production_kernel(self):
+        database, _ = small_dataset(5)
+        production = get_kernel().name
+        assert OasisSearchStatistics().kernel == production
+        # Before any query, a search reports the kernel it will run.
+        tree = GeneralizedSuffixTree.build(database)
+        assert OasisSearch(tree, pam30()).statistics.kernel == production
+        ablated = OasisSearch(tree, pam30(), prune_dominated=False)
+        assert ablated.statistics.kernel == "reference"
+        # A sharded merge over no shard executions falls back to it too.
+        merged = ShardedQueryExecution(None, [], "MKV", max_results=None)
+        assert merged.statistics.kernel == production
+
+    def test_every_engine_and_backend_reports_the_production_kernel(self, tmp_path):
+        database, queries = small_dataset(5)
+        matrix = pam30()
+        gap_model = FixedGapModel(-8)
+        ShardedIndexBuilder(matrix, gap_model, shard_count=2).build(
+            database, tmp_path / "index"
+        )
+        memory = OasisEngine.build(database, matrix=matrix, gap_model=gap_model)
+        disk = OasisEngine.build_on_disk(
+            database, matrix, tmp_path / "image.oasis", gap_model=gap_model
+        )
+        threads = ShardedEngine.build(
+            database, matrix, gap_model, shard_count=2, backend="threads:2"
+        )
+        processes = ShardedEngine.open(tmp_path / "index", backend="processes:2")
+        try:
+            for engine in (memory, disk, threads, processes):
+                result = engine.search(queries[0], evalue=1_000.0)
+                assert result.statistics.kernel == "batched"
+        finally:
+            disk.cursor.close()
+            threads.close()
+            processes.close()
 
     def test_expanding_a_discarded_column_is_rejected(self):
         database, _ = small_dataset(5)
@@ -283,8 +358,12 @@ class TestKernelSelection:
             state=NodeState.UNVIABLE,
             depth=0,
         )
-        child = next(iter(cursor.children(cursor.root)))
-        arc = cursor.arc_symbols(child)
-        for kernel in (ScalarKernel(), BatchedKernel()):
+        children = [
+            (child, cursor.arc_symbols(child), cursor.is_leaf(child))
+            for child in cursor.children(cursor.root)
+        ]
+        for kernel in (get_kernel(), ReferenceKernel()):
             with pytest.raises(ValueError, match="discarded"):
-                kernel.expand_arc(dead, child, arc, cursor.is_leaf(child), context)
+                kernel.expand_arc(dead, *children[0], context)
+            with pytest.raises(ValueError, match="discarded"):
+                kernel.expand_children(dead, iter(children), context)
