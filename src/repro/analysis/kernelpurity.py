@@ -13,11 +13,15 @@ set of buffers per query; telemetry stays at the driver level.
 This rule makes both properties mechanical: inside any ``for``/``while``
 loop of a function in ``repro.core.kernels``, array-allocating NumPy calls
 (``np.empty``/``np.zeros``/``np.ones``/``np.full`` and their ``*_like``
-forms, plus ``np.arange``/``np.array``/``np.copy`` and the ``.copy()``
-method) and ``tracer``/``metrics`` attribute access are violations.
-Outside loops they are fine -- a VIABLE child's surviving column is copied
-out exactly once after its arc finishes, and that is the design, not a
-leak.
+forms, ``np.arange``/``np.array``/``np.copy``, the joining calls
+``np.stack``/``np.concatenate``/``np.vstack``/``np.hstack`` -- the natural
+way to gather a frontier's parent columns, and a fresh array every step --
+and the ``.copy()`` method) and ``tracer``/``metrics`` attribute access are
+violations.
+Outside loops they are fine.  The rule is lexical: the production kernel
+copies a VIABLE child's surviving column exactly once, when its arc
+finishes, in a helper its step loop calls -- one copy per result is the
+design, not a leak.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ ALLOCATORS: Tuple[str, ...] = (
     "arange",
     "array",
     "copy",
+    "stack",
+    "concatenate",
+    "vstack",
+    "hstack",
 )
 
 #: Attribute names whose presence inside a kernel loop means telemetry.
@@ -55,7 +63,8 @@ class KernelPurityRule(Rule):
     rule_id = "kernel-purity"
     description = (
         "expansion-kernel loops (repro.core.kernels) must not allocate "
-        "arrays (np.empty/zeros/*_like/.copy) or touch tracer/metrics -- "
+        "arrays (np.empty/zeros/*_like/stack/concatenate/.copy) or touch "
+        "tracer/metrics -- "
         "scratch comes preallocated from ExpansionContext, telemetry stays "
         "in the driver"
     )

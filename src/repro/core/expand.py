@@ -31,14 +31,13 @@ interpreter.
 This module holds the reference form, :func:`expand_arc_reference`: the
 original, allocation-per-column implementation, kept verbatim as the parity
 oracle.  It runs every pruning configuration; the production kernel in
-:mod:`repro.core.kernels` runs the same algorithm over preallocated
-per-query scratch (no per-column allocation, fused prune mask, no reductions
-or ``PRUNED`` writes whose result is about to be discarded) for the paper's
-all-rules configuration.
+:mod:`repro.core.kernels` runs the same algorithm for the paper's all-rules
+configuration, stepping every child arc of a frontier of nodes in lockstep
+over preallocated per-query scratch with a fused prune mask.
 
 The :class:`ExpansionContext` owns the scratch arrays because it already owns
 everything else that is per-query: kernels themselves are forbidden from
-allocating inside their column loops (the ``kernel-purity`` analysis rule).
+allocating inside their step loops (the ``kernel-purity`` analysis rule).
 """
 
 from __future__ import annotations
@@ -104,42 +103,38 @@ class ExpansionContext:
         self.pruned_threshold = 0
         # ------------------------------------------------------------------
         # Kernel scratch.  The expansion kernels (repro.core.kernels) never
-        # allocate inside their column loops -- the kernel-purity analysis
-        # rule enforces it -- so every transient array they need is
-        # preallocated here, once per query.
+        # allocate inside their step loops -- the kernel-purity analysis rule
+        # enforces it -- so every transient array they need lives here, one
+        # row per child arc of a frontier, grown by reserve_frontier.
+        self.frontier_capacity = 0
+        self.frontier_parent_max = np.empty(0, dtype=np.int64)
+        self.reserve_frontier(1, 1)
+
+    def reserve_frontier(self, rows: int, parents: int) -> None:
+        """Make the frontier scratch hold ``rows`` child arcs of ``parents`` nodes.
+
+        Called once per kernel call, outside the step loop; the scratch only
+        grows, to the widest frontier seen so far (a node with many
+        terminator children can widen one), so a query reallocates a handful
+        of times and never per column.
+        """
         length = self.query_length + 1
-        symbol_count = self.profile.shape[0]
-        #: Ping-pong column buffers for the per-arc column loop: one is read
-        #: while the other is written, so a parent's column is never mutated.
-        self.scratch_col_a = np.empty(length, dtype=np.int64)
-        self.scratch_col_b = np.empty(length, dtype=np.int64)
-        #: Horizontal (deletion) term of the candidate column.
-        self.scratch_row = np.empty(length, dtype=np.int64)
-        #: Optimistic scores (``column + heuristic``) of a VIABLE result.
-        self.scratch_bound = np.empty(length, dtype=np.int64)
-        #: The fused prune mask of one column.
-        self.scratch_mask = np.empty(length, dtype=bool)
-        #: Fused prune limit: ``max(0, cutoff - heuristic)`` elementwise,
-        #: valid while the cutoff (``max(path max_score, min_score - 1)``)
-        #: equals ``fast_cutoff``.  One comparison against it is exactly the
-        #: reference's three-way non-positive|dominated|hopeless mask, and the
-        #: cutoff only changes when a path's ``max_score`` rises, so the
-        #: recompute amortises away.
-        self.scratch_limit = np.empty(length, dtype=np.int64)
-        self.fast_cutoff: Optional[int] = None
-        #: Sibling-batch scratch: a node's children all have distinct first
-        #: arc symbols, so the fan-out is bounded by the symbol count and the
-        #: batched kernel can run every child's first DP column as one 2-D
-        #: update over these buffers.
-        self.batch_symbols = np.empty(symbol_count, dtype=np.intp)
-        self.batch_profile = np.empty((symbol_count, self.query_length), dtype=np.int64)
-        self.batch_columns = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_limit = np.empty((symbol_count, length), dtype=np.int64)
-        self.batch_mask = np.empty((symbol_count, length), dtype=bool)
-        self.batch_best = np.empty(symbol_count, dtype=np.int64)
-        self.batch_max = np.empty(symbol_count, dtype=np.int64)
-        self.batch_cutoff = np.empty(symbol_count, dtype=np.int64)
-        self.batch_done = np.empty(symbol_count, dtype=bool)
+        if parents > len(self.frontier_parent_max):
+            self.frontier_parent_columns = np.empty((parents, length), dtype=np.int64)
+            self.frontier_parent_max = np.empty(parents, dtype=np.int64)
+        if rows <= self.frontier_capacity:
+            return
+        self.frontier_capacity = rows
+        #: Ping-pong columns: the step reads one plane and writes the other.
+        self.frontier_columns = np.empty((2, rows, length), dtype=np.int64)
+        #: Horizontal (deletion) term, then the per-row fused prune limit.
+        self.frontier_work = np.empty((rows, length), dtype=np.int64)
+        self.frontier_mask = np.empty((rows, length), dtype=bool)
+        self.frontier_done = np.empty(rows, dtype=bool)
+        #: Per-row arc symbols, and parent/survivor row indices.
+        self.frontier_index = np.empty((2, rows), dtype=np.intp)
+        #: Per-row running maximum, best-ending score, column best, cutoff.
+        self.frontier_scores = np.empty((4, rows), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def make_root_column(self) -> np.ndarray:

@@ -45,6 +45,10 @@ from repro.scoring.matrix import SubstitutionMatrix
 from repro.sequences.sequence import Sequence
 from repro.suffixtree.cursor import SuffixTreeCursor
 
+#: Most VIABLE nodes popped from the head of the queue and expanded in one
+#: kernel call (the frontier).
+FRONTIER_NODES = 32
+
 
 @dataclass
 class OasisSearchStatistics:
@@ -396,19 +400,37 @@ class QueryExecution:
                         break
                     continue
 
-                # VIABLE node: hand the whole sibling set to the expansion
-                # kernel at once (the production kernel vectorises across it;
-                # the reference consumes the generator child by child, which
-                # preserves the interleaved cursor access pattern).  Kernels
-                # return one child node per sibling, in child order -- the
-                # enqueue counter, and with it the heap tie-break, depends
-                # on that.
-                statistics.nodes_expanded += 1
-                siblings = (
-                    (child, cursor.arc_symbols(child), cursor.is_leaf(child))
-                    for child in cursor.children(node.tree_node)
-                )
-                for child_node in kernel.expand_children(node, siblings, context):
+                # VIABLE node: pop the VIABLE run now at the head of the queue
+                # with it and expand the whole frontier in one kernel call.  A
+                # search that runs to completion expands every VIABLE node it
+                # enqueues, so the order changes neither hits nor work.  The
+                # run stops at an ACCEPTED head (a proven hit never waits
+                # behind speculative work), at a head below a buffered score
+                # (the equal-score run is emitted first), and at the number of
+                # nodes expanded so far (a search that stops early never
+                # speculates more than the work it has done).  Sibling sets
+                # are lazy; kernels return the children parent by parent, in
+                # child order -- the enqueue counter, and with it the heap
+                # tie-break, depends on that.
+                frontier = [node]
+                width = min(FRONTIER_NODES, statistics.nodes_expanded)
+                while queue and len(frontier) < width:
+                    head = queue[0][-1]
+                    if not head.is_viable or (pending and head.f < pending[0].score):
+                        break
+                    frontier.append(heapq.heappop(queue)[-1])
+                statistics.nodes_expanded += len(frontier)
+                batch = [
+                    (
+                        parent,
+                        (
+                            (child, cursor.arc_symbols(child), cursor.is_leaf(child))
+                            for child in cursor.children(parent.tree_node)
+                        ),
+                    )
+                    for parent in frontier
+                ]
+                for child_node in kernel.expand_children(batch, context):
                     if child_node.is_unviable:
                         statistics.nodes_pruned += 1
                         continue

@@ -78,18 +78,12 @@ def make_terminal_node(tree_node: Any, max_score: int, min_score: int, depth: in
     ``max_score``, so ``f`` and ``b`` collapse to it, the column is
     discarded, and the node is ACCEPTED when the path reached the threshold
     (its sequences are reported when it surfaces from the queue) and
-    UNVIABLE otherwise.  Shared by every expansion kernel.
+    UNVIABLE otherwise.  The production kernel builds one for every child
+    arc that prunes out or ends in a leaf.
     """
     state = NodeState.ACCEPTED if max_score >= min_score else NodeState.UNVIABLE
-    return SearchNode(
-        tree_node=tree_node,
-        column=None,
-        max_score=max_score,
-        f=max_score,
-        b=max_score,
-        state=state,
-        depth=depth,
-    )
+    # Positional arguments: this runs once per finished child arc.
+    return SearchNode(tree_node, None, max_score, max_score, max_score, state, depth)
 
 
 def make_queue_entry(node: SearchNode, counter: int) -> tuple:

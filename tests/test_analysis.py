@@ -822,6 +822,41 @@ class TestKernelPurityRule:
         )
         assert rule_ids(report) == ["kernel-purity"]
 
+    @pytest.mark.parametrize("joiner", ["stack", "concatenate", "vstack", "hstack"])
+    def test_joining_arrays_in_kernel_loop_is_flagged(self, tmp_path, joiner):
+        # Gathering a frontier's parent columns by joining them allocates a
+        # fresh matrix every step.
+        report = violations_for(
+            tmp_path,
+            "core/kernels.py",
+            f"""
+            import numpy as np
+
+            def expand(frontier, context):
+                while frontier:
+                    columns = np.{joiner}([parent.column for parent in frontier])
+                    frontier = context.step(columns)
+            """,
+        )
+        assert rule_ids(report) == ["kernel-purity"]
+
+    def test_take_into_scratch_in_kernel_loop_passes(self, tmp_path):
+        # The allocation-free gather: rows taken into preallocated scratch.
+        report = violations_for(
+            tmp_path,
+            "core/kernels.py",
+            """
+            import numpy as np
+
+            def expand(frontier, origin, context):
+                while frontier:
+                    np.take(context.seeds, origin, axis=0, out=context.columns)
+                    frontier = context.step(context.columns)
+                return np.stack(frontier)
+            """,
+        )
+        assert report.ok
+
     def test_scratch_buffer_loop_passes(self, tmp_path):
         report = violations_for(
             tmp_path,

@@ -31,6 +31,11 @@ def make_context(query_text, min_score=1, **kwargs):
     )
 
 
+def signature(node):
+    column = None if node.column is None else node.column.tolist()
+    return (node.tree_node, node.state, node.f, node.b, node.max_score, node.depth, column)
+
+
 def make_root(context):
     return SearchNode(
         tree_node=None,
@@ -158,8 +163,9 @@ class TestExpandArc:
 
     def test_sibling_set_matches_single_arcs(self):
         # Nodes 1N and 4N are siblings below the root: expanding them as one
-        # sibling set (the production kernel batches their first columns)
-        # gives exactly the nodes and column count of one-by-one expansion.
+        # sibling set (a one-parent frontier; the production kernel steps
+        # both arcs in lockstep) gives exactly the nodes and column count of
+        # one-by-one expansion.
         arcs = [("1N", DNA_ALPHABET.encode("A")), ("4N", DNA_ALPHABET.encode("TA"))]
         single = make_context("TACG", min_score=1)
         expected = [
@@ -168,13 +174,45 @@ class TestExpandArc:
         ]
         batched = make_context("TACG", min_score=1)
         actual = self.kernel.expand_children(
-            make_root(batched), [(name, arc, False) for name, arc in arcs], batched
+            [(make_root(batched), [(name, arc, False) for name, arc in arcs])], batched
         )
-        assert [(n.tree_node, n.state, n.f, n.b, n.max_score, n.depth) for n in actual] == [
-            (n.tree_node, n.state, n.f, n.b, n.max_score, n.depth) for n in expected
-        ]
-        assert [n.column.tolist() for n in actual] == [n.column.tolist() for n in expected]
+        assert [signature(n) for n in actual] == [signature(n) for n in expected]
         assert batched.columns_expanded == single.columns_expanded == 3
+
+    def test_frontier_matches_single_arcs(self):
+        # Two parents in one frontier (the root and node 4N), each with its
+        # own column and running maximum: children come back parent by
+        # parent, in child order, exactly as one-by-one expansion gives them.
+        single = make_context("TACG", min_score=1)
+        node_4n = self.expand_arc(
+            make_root(single), "4N", DNA_ALPHABET.encode("TA"), False, single
+        )
+        frontier = [
+            (make_root(single), [("1N", DNA_ALPHABET.encode("A"), False)]),
+            (
+                node_4n,
+                [
+                    ("2L", DNA_ALPHABET.encode("CGCCTAG$"), True),
+                    ("7L", DNA_ALPHABET.encode("G$"), True),
+                ],
+            ),
+        ]
+        before = single.columns_expanded
+        expected = [
+            self.expand_arc(parent, *sibling, single)
+            for parent, siblings in frontier
+            for sibling in siblings
+        ]
+        columns = single.columns_expanded - before
+        batched = make_context("TACG", min_score=1)
+        actual = self.kernel.expand_children(frontier, batched)
+        assert [signature(n) for n in actual] == [signature(n) for n in expected]
+        assert [(n.state, n.max_score) for n in actual] == [
+            (NodeState.VIABLE, 1),
+            (NodeState.ACCEPTED, 4),
+            (NodeState.ACCEPTED, 2),
+        ]
+        assert batched.columns_expanded == columns
 
 
 class TestExpandArcReference(TestExpandArc):
